@@ -48,9 +48,17 @@ EvalResult Evaluate(Recommender* model, const std::vector<Example>& test,
   // examples — same slot-per-example merge, with each loop index owning one
   // whole batch's worth of contiguous rank slots. The default 1 keeps the
   // per-example path byte for byte.
-  const size_t forward_batch = static_cast<size_t>(ForwardBatchSizeFromEnv());
+  size_t forward_batch = static_cast<size_t>(ForwardBatchSizeFromEnv());
   auto* neural = dynamic_cast<NeuralSessionModel*>(model);
   if (neural != nullptr && forward_batch > 1) {
+    // The batch size is an upper bound: when the loop really fans out, the
+    // batches shrink so every pool lane gets one. Batched scoring is bitwise
+    // equal at any B (DESIGN.md §16), so only lane occupancy changes.
+    const size_t lanes = static_cast<size_t>(par::ThreadCount());
+    if (lanes > 1 && !par::ThreadPool::InParallelRegion()) {
+      forward_batch =
+          std::max<size_t>(1, std::min(forward_batch, (n + lanes - 1) / lanes));
+    }
     const int64_t num_batches =
         static_cast<int64_t>((n + forward_batch - 1) / forward_batch);
     par::For(0, num_batches, 1, [&](int64_t lo, int64_t hi) {

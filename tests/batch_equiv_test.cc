@@ -38,6 +38,9 @@
 #include "models/neural_model.h"
 #include "models/session_batch.h"
 #include "nn/layers.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "par/thread_pool.h"
 #include "prof/mem_tracker.h"
 #include "prof/op_profiler.h"
 #include "train/evaluator.h"
@@ -254,6 +257,60 @@ TEST(BatchEquiv, EvaluatorBatchedMatchesSerial) {
   EXPECT_EQ(serial.report.hit, batched.report.hit);
   EXPECT_EQ(serial.report.mrr, batched.report.mrr);
   EXPECT_EQ(serial.ranks, batched.ranks);
+}
+
+// EMBSR_BATCH_SIZE is an upper bound in Evaluate: when the loop fans out,
+// batches shrink so every pool lane gets one. Pinned at 3 lanes so the
+// uneven split runs on any host: 40 sessions at B=16 score as 14/14/12 and
+// must match the B=1 path bitwise. At B=32 the batch count (ScoreBatch
+// calls, read off its timing histogram) tells the split (14/14/12, three
+// calls) from the requested batches (32/8, two calls): a 1-lane pool and a
+// call from inside a pool chunk keep the requested ones.
+TEST(BatchEquiv, EvaluatorLaneSplitMatchesSerial) {
+  const ProcessedDataset& data = SmallData();
+  ASSERT_GE(data.test.size(), 40u);
+  std::unique_ptr<Recommender> model = CreateModel(
+      "GRU4Rec", data.num_items, data.num_operations, SmallConfig());
+  ASSERT_NE(model, nullptr);
+  const bool was_timing = obs::TimingEnabled();
+  obs::SetTimingEnabled(true);
+  obs::Histogram* score_batch = obs::Registry::Global().GetHistogram(
+      "model/score_batch_ms", obs::DefaultLatencyBucketsMs());
+  auto evaluate = [&](const char* bsz, int64_t* batches) {
+    ScopedBatchSize env(bsz);
+    const int64_t before = score_batch->count();
+    EvalResult r = Evaluate(model.get(), data.test, {10, 20}, 40);
+    *batches = score_batch->count() - before;
+    return r;
+  };
+
+  par::SetThreadCount(3);
+  int64_t batches = 0;
+  const EvalResult serial = evaluate("1", &batches);
+  for (const char* bsz : {"16", "32"}) {
+    SCOPED_TRACE(bsz);
+    const EvalResult split = evaluate(bsz, &batches);
+    EXPECT_EQ(batches, 3);
+    EXPECT_EQ(serial.report.hit, split.report.hit);
+    EXPECT_EQ(serial.report.mrr, split.report.mrr);
+    EXPECT_EQ(serial.ranks, split.ranks);
+  }
+
+  // Inside a pool chunk the evaluator's loop runs inline: no split.
+  EvalResult nested;
+  par::For(0, 2, 1, [&](int64_t lo, int64_t) {
+    if (lo == 0) nested = evaluate("32", &batches);
+  });
+  EXPECT_EQ(batches, 2);
+  EXPECT_EQ(serial.ranks, nested.ranks);
+
+  par::SetThreadCount(1);
+  const EvalResult one_lane = evaluate("32", &batches);
+  EXPECT_EQ(batches, 2);
+  EXPECT_EQ(serial.ranks, one_lane.ranks);
+
+  par::SetThreadCount(0);
+  obs::SetTimingEnabled(was_timing);
 }
 
 // ---- 2. Tolerance at batch sizes 4 / 16 -----------------------------------

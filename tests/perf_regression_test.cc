@@ -100,6 +100,7 @@ TEST(PerfRegression, BatchedEvalThroughputFloorAtBatch32) {
   model->EnsureEvalMode();
 
   par::SetThreadCount(0);  // hardware / EMBSR_THREADS default
+  size_t sessions_per_pass = 0;
   auto sessions_per_sec = [&](const char* batch) {
     setenv("EMBSR_BATCH_SIZE", batch, 1);
     (void)Evaluate(model.get(), data.value().test, {20}, 64);  // warmup
@@ -108,6 +109,7 @@ TEST(PerfRegression, BatchedEvalThroughputFloorAtBatch32) {
     const double wall = t.ElapsedSeconds();
     unsetenv("EMBSR_BATCH_SIZE");
     EMBSR_CHECK(!r.ranks.empty());
+    sessions_per_pass = r.ranks.size();
     return static_cast<double>(r.ranks.size()) / wall;
   };
   const double sps1 = sessions_per_sec("1");
@@ -118,6 +120,10 @@ TEST(PerfRegression, BatchedEvalThroughputFloorAtBatch32) {
     report.AddScalar("sessions_per_sec/GRU4Rec/b1", sps1);
     report.AddScalar("sessions_per_sec/GRU4Rec/b32", sps32);
     report.AddScalar("batch32_speedup", sps32 / std::max(sps1, 1e-9));
+    // The workload block echoes EMBSR_BENCH_SCALE, not the 0.05 scale
+    // built above; this is the size of each timed pass.
+    report.AddScalar("sessions_per_timed_pass",
+                     static_cast<double>(sessions_per_pass));
     report.AddScalar("hardware_concurrency", hw);
   }
 
